@@ -93,7 +93,11 @@ func main() {
 	}
 	defer rt.Close()
 
-	httpServer := &http.Server{Addr: *listen, Handler: rt.Handler()}
+	httpServer := &http.Server{
+		Addr:              *listen,
+		Handler:           rt.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+	}
 	log.Printf("routing %d backends on %s (vnodes=%d, legs=%d)",
 		len(list), *listen, *vnodes, *failoverLegs)
 

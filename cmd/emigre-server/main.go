@@ -49,10 +49,8 @@ func main() {
 		beta      = flag.Float64("beta", 1, "transition mix: 1=weighted walk, 0=uniform")
 		maxTests  = flag.Int("max-tests", 200, "CHECK budget per explanation request")
 
-		deltaCheck = flag.Bool("delta-check", false,
-			"screen explanation CHECKs with warm-start delta pushes from the cached base push state (composes with -explain-workers)")
 		deltaEdits = flag.Int("delta-max-edits", emigre.DefaultDeltaMaxEdits,
-			"edit-set size above which a delta CHECK falls back to a full recompute")
+			"edit-set size above which a warm-start delta CHECK falls back to a full recompute (-1 = every CHECK cold)")
 
 		explainTimeout = flag.Duration("explain-timeout", server.DefaultExplainTimeout,
 			"deadline per /explain or /diagnose request (0 = no deadline)")
@@ -139,7 +137,6 @@ func main() {
 			AllowedEdgeTypes: emigre.NewEdgeTypeSet(allowed...),
 			AddEdgeType:      addIDs[0],
 			MaxTests:         *maxTests,
-			DeltaCheck:       *deltaCheck,
 			DeltaMaxEdits:    *deltaEdits,
 		},
 		ExplainTimeout:  timeout,

@@ -252,9 +252,9 @@ var (
 // before the search was interrupted.
 type CanceledError = core.CanceledError
 
-// DefaultDeltaMaxEdits is the edit-set size above which a delta-screened
-// CHECK (Options.DeltaCheck) steps aside for a full recompute,
-// re-exported for flag defaults.
+// DefaultDeltaMaxEdits is the edit-set size above which the warm-start
+// CHECK screen steps aside for a full recompute, re-exported for flag
+// defaults.
 const DefaultDeltaMaxEdits = core.DefaultDeltaMaxEdits
 
 // NewExplainer builds a Why-Not explainer over g and its recommender.

@@ -43,27 +43,23 @@ func BenchmarkSearchSpaceDefinition(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCheckEngines compares the static and dynamic CHECK
-// paths over an identical query stream.
+// BenchmarkAblationCheckEngines compares the cold CHECK path with the
+// default warm-start screened path over an identical query stream.
 func BenchmarkAblationCheckEngines(b *testing.B) {
-	b.Run("static", func(b *testing.B) {
-		f := newBenchFixture(b, Options{})
-		q := f.query()
-		for i := 0; i < b.N; i++ {
-			if _, err := f.ex.ExplainWith(q, Remove, Powerset); err != nil {
-				b.Fatal(err)
+	for _, cfg := range []struct {
+		name string
+		opts Options
+	}{{"cold", coldOptions(Options{})}, {"delta", Options{}}} {
+		b.Run(cfg.name, func(b *testing.B) {
+			f := newBenchFixture(b, cfg.opts)
+			q := f.query()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.ex.ExplainWith(q, Remove, Powerset); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("dynamic", func(b *testing.B) {
-		f := newBenchFixture(b, Options{DynamicCheck: true})
-		q := f.query()
-		for i := 0; i < b.N; i++ {
-			if _, err := f.ex.ExplainWith(q, Remove, Powerset); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkDiagnose(b *testing.B) {

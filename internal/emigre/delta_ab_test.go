@@ -18,9 +18,16 @@ func stripVariance(e Explanation) Explanation {
 	return e
 }
 
+// coldOptions turns the warm-start screen off: every CHECK runs the
+// full recompute. It is the A/B reference for the default screened path.
+func coldOptions(o Options) Options {
+	o.DeltaMaxEdits = -1
+	return o
+}
+
 // TestDeltaABExplanationsIdentical is the acceptance A/B for the
 // warm-start CHECK screen: across modes × methods × worker counts,
-// DeltaCheck may only change how a rejection is computed, never which
+// the screen may only change how a rejection is computed, never which
 // candidate set is returned, what its stats say, or which error comes
 // back. The warm estimates carry a different (but ε-bounded) error than
 // a cold push, so this is the test that the screen's verdict rule and
@@ -29,11 +36,11 @@ func TestDeltaABExplanationsIdentical(t *testing.T) {
 	testleak.Check(t)
 	for _, mode := range []Mode{Remove, Add, Combined, Reweight} {
 		for _, method := range allMethods(mode) {
-			cold := newFixture(t, Options{Mode: mode, Method: method})
+			cold := newFixture(t, coldOptions(Options{Mode: mode, Method: method}))
 			want, errW := cold.ex.Explain(cold.query())
 			for _, workers := range []int{0, 2, 4} {
 				warm := newFixture(t, Options{
-					Mode: mode, Method: method, DeltaCheck: true, Parallelism: workers,
+					Mode: mode, Method: method, Parallelism: workers,
 				})
 				got, errG := warm.ex.Explain(warm.query())
 				if (errW == nil) != (errG == nil) {
@@ -69,14 +76,14 @@ func TestDeltaABExplanationsIdentical(t *testing.T) {
 func TestDeltaStatsDeterministicAcrossWorkers(t *testing.T) {
 	testleak.Check(t)
 	for _, method := range []Method{Powerset, BruteForce} {
-		seq := newFixture(t, Options{Mode: Remove, Method: method, DeltaCheck: true})
+		seq := newFixture(t, Options{Mode: Remove, Method: method})
 		want, err := seq.ex.Explain(seq.query())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
 			par := newFixture(t, Options{
-				Mode: Remove, Method: method, DeltaCheck: true, Parallelism: workers,
+				Mode: Remove, Method: method, Parallelism: workers,
 			})
 			got, err := par.ex.Explain(par.query())
 			if err != nil {
@@ -102,13 +109,13 @@ func TestDeltaStatsDeterministicAcrossWorkers(t *testing.T) {
 // read off the process-global obs counters because a no-explanation
 // result carries no Stats.
 func TestDeltaFallbackOnLargeEditSets(t *testing.T) {
-	cold := newFixture(t, Options{})
+	cold := newFixture(t, coldOptions(Options{}))
 	q := Query{User: cold.ids["u"], WNI: cold.ids["f3"]}
 	_, errW := cold.ex.ExplainWith(q, Remove, BruteForce)
 	if errW == nil {
 		t.Fatal("fixture unexpectedly found a removal explanation for f3")
 	}
-	warm := newFixture(t, Options{DeltaCheck: true, DeltaMaxEdits: 1})
+	warm := newFixture(t, Options{DeltaMaxEdits: 1})
 	screens0, fallbacks0 := deltaScreens.Value(), deltaFallbacksC.Value()
 	_, errG := warm.ex.ExplainWith(q, Remove, BruteForce)
 	if errG == nil || errW.Error() != errG.Error() {
@@ -121,32 +128,12 @@ func TestDeltaFallbackOnLargeEditSets(t *testing.T) {
 	}
 }
 
-// TestDeltaDynamicPrecedence pins the documented precedence: with both
-// options set, the serial dynamic-push path runs and the delta screen
-// stays cold (no base fetch, no screen tallies, sequential evaluator).
-func TestDeltaDynamicPrecedence(t *testing.T) {
-	f := newFixture(t, Options{
-		Mode: Remove, Method: Powerset, DeltaCheck: true, DynamicCheck: true, Parallelism: 4,
-	})
-	expl, err := f.ex.Explain(f.query())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if expl.Stats.DeltaScreened != 0 || expl.Stats.DeltaFallbacks != 0 {
-		t.Fatalf("delta tallies %d/%d under DynamicCheck, want 0/0",
-			expl.Stats.DeltaScreened, expl.Stats.DeltaFallbacks)
-	}
-	if ps := f.ex.PipelineStats(); ps.ParallelRuns != 0 {
-		t.Fatalf("ParallelRuns = %d, want 0 (DynamicCheck forces sequential)", ps.ParallelRuns)
-	}
-}
-
 // TestDeltaScreenActuallyScreens guards against the screen silently
 // never engaging (which would make every A/B above pass trivially):
 // a standard Remove/Powerset search must resolve most of its checks on
 // warm estimates.
 func TestDeltaScreenActuallyScreens(t *testing.T) {
-	f := newFixture(t, Options{Mode: Remove, Method: Powerset, DeltaCheck: true})
+	f := newFixture(t, Options{Mode: Remove, Method: Powerset})
 	expl, err := f.ex.Explain(f.query())
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +154,7 @@ func TestDeltaScreenActuallyScreens(t *testing.T) {
 // agreement here is an end-to-end soundness check on warm verdicts.
 func TestDeltaVerifyAgrees(t *testing.T) {
 	for _, mode := range []Mode{Remove, Add} {
-		f := newFixture(t, Options{Mode: mode, Method: Powerset, DeltaCheck: true, Parallelism: 2})
+		f := newFixture(t, Options{Mode: mode, Method: Powerset, Parallelism: 2})
 		expl, err := f.ex.Explain(f.query())
 		if err != nil {
 			t.Fatal(err)

@@ -30,14 +30,14 @@ func BenchmarkDeltaCheckPhase(b *testing.B) {
 	// Decide pass/reject once, on the cold path, so both rows cycle the
 	// identical rejection stream (the A/B suite pins that delta verdicts
 	// agree).
-	cold := New(g, r, Options{AllowedEdgeTypes: te, DisableCache: true, MaxSearchSpace: 12})
+	cold := New(g, r, coldOptions(Options{AllowedEdgeTypes: te, DisableCache: true, MaxSearchSpace: 12}))
 	cs, err := cold.newSession(ctx, q, Remove)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var rejs []candidate
 	for _, c := range cs.cands {
-		ok, _, _, err := cs.checkOnce(ctx, []candidate{c}, nil)
+		ok, _, _, err := cs.checkOnce(ctx, []candidate{c}, &deltaScratch{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,15 +50,15 @@ func BenchmarkDeltaCheckPhase(b *testing.B) {
 	}
 
 	for _, cfg := range []struct {
-		name  string
-		delta bool
-	}{{"cold", false}, {"delta", true}} {
+		name     string
+		maxEdits int
+	}{{"cold", -1}, {"delta", 0}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			ex := New(g, r, Options{
 				AllowedEdgeTypes: te,
 				DisableCache:     true,
 				MaxSearchSpace:   12,
-				DeltaCheck:       cfg.delta,
+				DeltaMaxEdits:    cfg.maxEdits,
 			})
 			s, err := ex.newSession(ctx, q, Remove)
 			if err != nil {

@@ -251,42 +251,21 @@ type Options struct {
 	// without the cache; only the work performed differs.
 	DisableCache bool
 
-	// DynamicCheck accelerates the CHECK step with the dynamic
-	// forward-push engine (ppr.DynamicForwardPush): instead of
-	// re-running PPR from scratch on every counterfactual overlay, the
-	// push state is repaired locally for the changed user row — the
-	// optimization avenue the paper points at in §5.3 via Zhang,
-	// Lofgren & Goel. Rejections are decided dynamically; passes are
-	// confirmed with one static run, so returned explanations are
-	// exactly as sound as without the option. A rejection may disagree
-	// with the static path on tolerance-level near-ties.
-	//
-	// DynamicCheck forces sequential CHECK evaluation: the push state
-	// is repaired incrementally from one counterfactual to the next,
-	// which is inherently a serial walk of the candidate stream.
-	DynamicCheck bool
-
-	// DeltaCheck accelerates the CHECK step with stateless warm-start
-	// pushes (ppr.ForwardPush.UpdateForEdit): the session fetches the
-	// user's full base push state — estimates AND residuals — once
-	// through the result cache, and every counterfactual CHECK repairs
-	// that shared immutable base at the user's edited row instead of
-	// re-running PPR from scratch, O(Δ) per check. Unlike DynamicCheck
-	// the base is never mutated, so DeltaCheck composes with
-	// Parallelism: each speculative worker warm-starts from the same
-	// base with its own scratch. Rejections are decided on the warm
-	// estimates; passes are confirmed with one static run, so returned
-	// explanations are exactly as sound as without the option. When a
-	// counterfactual's edit set exceeds DeltaMaxEdits the screen is
-	// skipped and the full recompute runs (Stats.DeltaFallbacks).
-	//
-	// DynamicCheck takes precedence when both options are set.
-	DeltaCheck bool
-
 	// DeltaMaxEdits caps the per-counterfactual edit-set size (total
-	// weight changes across edited rows) the delta screen will repair;
-	// larger edit sets fall back to the full recompute, whose cost the
-	// repair would approach anyway. Default 32.
+	// weight changes across edited rows) the warm-start CHECK screen
+	// will repair. Every CHECK first repairs the user's base push state
+	// — estimates AND residuals, fetched once per session through the
+	// result cache — at the counterfactual's edited rows
+	// (ppr.ForwardPush.UpdateForEdit), O(Δ) instead of a full PPR run.
+	// Rejections are decided on the warm estimates; passes are confirmed
+	// with one cold run, so explanations are exactly those of the cold
+	// path. The base is never mutated, so the screen composes with
+	// Parallelism: each worker warm-starts with its own scratch.
+	//
+	// Larger edit sets fall back to the cold recompute, whose cost the
+	// repair would approach anyway (Stats.DeltaFallbacks). 0 means
+	// DefaultDeltaMaxEdits; a negative value turns the screen off — no
+	// base fetch, every CHECK cold (the A/B reference).
 	DeltaMaxEdits int
 
 	// Parallelism is the number of CHECK evaluations run concurrently
@@ -295,7 +274,7 @@ type Options struct {
 	// speculatively while results are committed in stream order, so
 	// explanations, Stats and budget errors are byte-identical to the
 	// sequential search (see pipeline.go). 0 or 1 (the default) runs
-	// the classic sequential path; DynamicCheck forces it.
+	// the classic sequential path.
 	Parallelism int
 }
 
@@ -353,11 +332,12 @@ type Stats struct {
 	// threshold filtering).
 	CombosExamined int
 	// Tests counts CHECK invocations (each one is a full PPR run on a
-	// counterfactual overlay — or a warm-start repair under DeltaCheck).
+	// counterfactual overlay, or a warm-start repair of the base push
+	// state).
 	Tests int
 	// DeltaScreened counts CHECKs evaluated by the warm-start delta
-	// screen (Options.DeltaCheck): rejections it decided outright plus
-	// passes it forwarded to the static confirmation run.
+	// screen: rejections it decided outright plus passes it forwarded
+	// to the cold confirmation run.
 	DeltaScreened int
 	// DeltaFallbacks counts CHECKs where the delta screen stepped aside
 	// for the full recompute (edit set larger than DeltaMaxEdits).
@@ -625,6 +605,10 @@ func (e *Explainer) VerifyContext(ctx context.Context, expl *Explanation) (bool,
 			cands = append(cands, candidate{edge: edge, op: expl.Mode})
 		}
 	}
+	// Verification is the cold reference: a single CHECK expected to
+	// pass gains nothing from the warm screen, and its verdict must not
+	// depend on the screen's estimates.
+	s.base = nil
 	ok, _, err := s.check(cands)
 	return ok, err
 }
@@ -648,13 +632,11 @@ type session struct {
 	// accept optionally widens the CHECK success criterion to a set of
 	// items (group-granularity queries); nil means {WNI}.
 	accept map[hin.NodeID]bool
-	// dyn is the lazily created dynamic-push state used when
-	// Options.DynamicCheck is set.
-	dyn *ppr.DynamicForwardPush
 	// base is the user's full forward push state over the unedited view,
-	// fetched once (through the result cache) when Options.DeltaCheck is
-	// active. Immutable and shared: every delta screen — sequential or
-	// on a pipeline worker — warm-starts from it with its own scratch.
+	// fetched once (through the result cache); nil when the delta screen
+	// is off (negative DeltaMaxEdits). Immutable and shared: every delta
+	// screen — sequential or on a pipeline worker — warm-starts from it
+	// with its own scratch.
 	base *ppr.PushResult
 	// dsc is the sequential evaluator's reusable delta scratch; pipeline
 	// workers allocate their own per goroutine.
@@ -689,12 +671,12 @@ func (e *Explainer) newSession(ctx context.Context, q Query, mode Mode) (*sessio
 			ErrNotWhyNotItem, q.WNI, q.User)
 	}
 	var base *ppr.PushResult
-	if e.deltaActive() {
+	if e.opts.DeltaMaxEdits >= 0 {
 		// Fetch the base pair before the baseline recommendation: the
 		// result-level fill populates (or upgrades) the cache entry the
 		// RecommendContext below then hits, so the session still runs
 		// one full forward push in total. Without a cache this costs one
-		// extra push — DeltaCheck is built for the cached serving path.
+		// extra push — the screen is built for the cached serving path.
 		var err error
 		base, err = e.r.ForwardResultContext(ctx, q.User)
 		if err != nil {
@@ -782,13 +764,6 @@ func (s *session) canceled() error {
 // recommender call with the session's partial stats.
 func (s *session) wrapCtx(err error) error { return wrapCtxErr(err, s.stats) }
 
-// deltaActive reports whether the warm-start delta screen runs for
-// this explainer's sessions. DynamicCheck takes precedence: its serial
-// repaired state subsumes the stateless screen.
-func (e *Explainer) deltaActive() bool {
-	return e.opts.DeltaCheck && !e.opts.DynamicCheck
-}
-
 // deltaScratch is one evaluator's reusable warm-start working set: the
 // push scratch plus the edited-row list. The session owns one for the
 // sequential path; each pipeline worker goroutine owns its own.
@@ -809,54 +784,24 @@ type deltaFlags struct {
 }
 
 // check is the paper's CHECK/TEST step with the session's sequential
-// bookkeeping: cancellation poll, CHECK budget, Tests tally, and the
-// optional dynamic-push or delta-screen fast rejection. The parallel
-// pipeline performs the same bookkeeping at commit time and calls
-// checkOnce instead.
+// bookkeeping: cancellation poll, CHECK budget, Tests and delta tallies
+// around checkOnce. The parallel pipeline performs the same bookkeeping
+// at commit time and calls checkOnce from its workers.
 func (s *session) check(cands []candidate) (bool, hin.NodeID, error) {
 	if err := s.canceled(); err != nil {
 		return false, hin.InvalidNode, err
 	}
-	if err := checkSite.Hit(s.ctx); err != nil {
-		return false, hin.InvalidNode, s.wrapCtx(err)
-	}
 	if s.stats.Tests >= s.ex.opts.MaxTests {
 		return false, hin.InvalidNode, budgetExhausted(s.stats.Tests)
 	}
-	s.stats.Tests++
-	r2, o, err := s.counterfactual(cands)
-	if err != nil {
-		return false, hin.InvalidNode, err
-	}
-	if s.ex.opts.DynamicCheck {
-		ok, _, err := s.dynamicCheck(r2)
-		if err != nil {
-			return false, hin.InvalidNode, s.wrapCtx(err)
-		}
-		if !ok {
-			// Fast rejection: the overwhelming majority of CHECK calls
-			// end here, each for the price of a local push repair.
-			return false, hin.InvalidNode, nil
-		}
-		// A dynamic PASS is confirmed with one static run so returned
-		// explanations stay sound even on tolerance-level near-ties.
-	} else if s.ex.deltaActive() {
-		ok, _, flags, err := s.deltaScreen(s.ctx, r2, o, &s.dsc)
-		if err != nil {
-			return false, hin.InvalidNode, s.wrapCtx(err)
-		}
-		s.tallyDelta(flags)
-		if flags.screened && !ok {
-			// Warm rejection: decided on the repaired estimates alone,
-			// no full PPR run. Passes fall through to the static
-			// confirmation below, mirroring DynamicCheck soundness.
-			return false, hin.InvalidNode, nil
-		}
-	}
-	ok, top, err := s.rankCheck(s.ctx, r2)
+	ok, top, flags, err := s.checkOnce(s.ctx, cands, &s.dsc)
 	if err != nil {
 		return false, hin.InvalidNode, s.wrapCtx(err)
 	}
+	// Tally only completed verdicts, exactly as the parallel committer
+	// does, so the stats an error carries match for any worker count.
+	s.stats.Tests++
+	s.tallyDelta(flags)
 	return ok, top, nil
 }
 
@@ -872,18 +817,17 @@ func (s *session) tallyDelta(flags deltaFlags) {
 	}
 }
 
-// checkOnce is one stateless CHECK: overlay, patched recommender,
-// optional delta screen, rank comparison. It performs no budget or
-// Tests accounting, never touches the session's dynamic-push state,
+// checkOnce is one stateless CHECK: overlay, patched recommender, delta
+// screen, and — for edit sets the screen passed or stepped aside from —
+// the cold rank comparison. It performs no budget or Tests accounting
 // and returns context errors raw (the caller wraps them with the stats
-// it has committed) — which makes it safe to run from many pipeline
+// it has committed), which makes it safe to run from many pipeline
 // workers at once. The shared state it reads (graph, recommender
 // snapshot, accept set, base push state, cache) is read-only for the
-// session's lifetime; dsc is the caller's own scratch (nil for an
-// uncached one-shot).
+// session's lifetime; dsc is the caller's own scratch.
 func (s *session) checkOnce(ctx context.Context, cands []candidate, dsc *deltaScratch) (bool, hin.NodeID, deltaFlags, error) {
-	// The same CHECK seam the sequential path gates in check(): one
-	// failpoint hit per evaluation, whichever pipeline runs it.
+	// The CHECK seam: one failpoint hit per evaluation, whichever
+	// evaluator runs it.
 	if err := checkSite.Hit(ctx); err != nil {
 		return false, hin.InvalidNode, deltaFlags{}, err
 	}
@@ -892,16 +836,16 @@ func (s *session) checkOnce(ctx context.Context, cands []candidate, dsc *deltaSc
 		return false, hin.InvalidNode, deltaFlags{}, err
 	}
 	var flags deltaFlags
-	if s.ex.deltaActive() {
-		if dsc == nil {
-			dsc = &deltaScratch{}
-		}
-		ok, _, f, err := s.deltaScreen(ctx, r2, o, dsc)
+	if s.base != nil {
+		ok, f, err := s.deltaScreen(ctx, r2, o, dsc)
 		if err != nil {
 			return false, hin.InvalidNode, deltaFlags{}, err
 		}
 		flags = f
 		if flags.screened && !ok {
+			// Warm rejection: decided on the repaired estimates alone,
+			// no full PPR run. Passes fall through to the cold
+			// confirmation so tolerance-level near-ties stay sound.
 			return false, hin.InvalidNode, flags, nil
 		}
 	}
@@ -912,10 +856,10 @@ func (s *session) checkOnce(ctx context.Context, cands []candidate, dsc *deltaSc
 // deltaScreen evaluates the counterfactual on warm-start estimates:
 // the overlay's edited rows are repaired against the session's shared
 // base push state and the verdict is read off the resulting estimate
-// vector — the same decision rule as dynamicCheck, but stateless, so
-// any number of workers can screen concurrently. Edit sets larger than
-// DeltaMaxEdits fall back (screened=false) to the full recompute.
-func (s *session) deltaScreen(ctx context.Context, r2 *rec.Recommender, o *hin.Overlay, dsc *deltaScratch) (bool, hin.NodeID, deltaFlags, error) {
+// vector. It is stateless, so any number of workers can screen
+// concurrently. Edit sets larger than DeltaMaxEdits fall back
+// (screened=false) to the full recompute.
+func (s *session) deltaScreen(ctx context.Context, r2 *rec.Recommender, o *hin.Overlay, dsc *deltaScratch) (bool, deltaFlags, error) {
 	edits := o.RowEdits()
 	changes := 0
 	for _, re := range edits {
@@ -923,7 +867,7 @@ func (s *session) deltaScreen(ctx context.Context, r2 *rec.Recommender, o *hin.O
 	}
 	if changes > s.ex.opts.DeltaMaxEdits {
 		recordDeltaFallback()
-		return false, hin.InvalidNode, deltaFlags{fallback: true}, nil
+		return false, deltaFlags{fallback: true}, nil
 	}
 	dsc.rows = dsc.rows[:0]
 	for _, re := range edits {
@@ -934,11 +878,11 @@ func (s *session) deltaScreen(ctx context.Context, r2 *rec.Recommender, o *hin.O
 	// the counterfactual's scoring view, which differs only at rows.
 	res, err := r2.WarmScoresContext(ctx, s.ex.r.ScoringView(), s.base, dsc.rows, &dsc.sc)
 	if err != nil {
-		return false, hin.InvalidNode, deltaFlags{}, err
+		return false, deltaFlags{}, err
 	}
-	ok, top := s.estimateVerdict(r2, res.Estimates)
+	ok := s.estimateVerdict(r2, res.Estimates)
 	recordDeltaScreen()
-	return ok, top, deltaFlags{screened: true}, nil
+	return ok, deltaFlags{screened: true}, nil
 }
 
 // counterfactual applies the candidate selection as an overlay and
@@ -984,32 +928,10 @@ func (s *session) accepted(top hin.NodeID) bool {
 	return top == s.q.WNI || (s.accept != nil && s.accept[top])
 }
 
-// dynamicCheck evaluates the counterfactual with the maintained
-// dynamic-push state instead of a fresh PPR run. Successive
-// counterfactuals all differ from each other only in the user's
-// outgoing row, which is exactly the update shape
-// ppr.DynamicForwardPush repairs locally.
-func (s *session) dynamicCheck(r2 *rec.Recommender) (bool, hin.NodeID, error) {
-	view := r2.ScoringView()
-	if s.dyn == nil {
-		var err error
-		s.dyn, err = ppr.NewDynamicForwardPushContext(s.ctx, s.ex.r.Config().PPR, s.ex.r.View(), s.q.User)
-		if err != nil {
-			return false, hin.InvalidNode, err
-		}
-	}
-	if err := s.dyn.UpdateContext(s.ctx, view, s.q.User); err != nil {
-		return false, hin.InvalidNode, err
-	}
-	ok, top := s.estimateVerdict(r2, s.dyn.Estimates())
-	return ok, top, nil
-}
-
 // estimateVerdict reads a CHECK verdict off an estimate vector for the
-// patched recommender r2: the tolerance-ordered top candidate, and
-// whether an accepted item reaches the target rank. Shared by the
-// serial dynamic-push path and the stateless delta screen.
-func (s *session) estimateVerdict(r2 *rec.Recommender, est ppr.Vector) (bool, hin.NodeID) {
+// patched recommender r2: whether an accepted item reaches the target
+// rank, candidates ordered by tolerance-aware score.
+func (s *session) estimateVerdict(r2 *rec.Recommender, est ppr.Vector) bool {
 	top := hin.InvalidNode
 	best := 0.0
 	for v := range est {
@@ -1023,17 +945,17 @@ func (s *session) estimateVerdict(r2 *rec.Recommender, est ppr.Vector) (bool, hi
 		}
 	}
 	if top == hin.InvalidNode {
-		return false, hin.InvalidNode
+		return false
 	}
 	if k := s.ex.opts.TargetRank; k > 1 {
-		return s.dynamicRankAccepted(r2, est, k), top
+		return s.estimateRankAccepted(r2, est, k)
 	}
-	return s.accepted(top), top
+	return s.accepted(top)
 }
 
-// dynamicRankAccepted reports whether any accepted item sits within the
-// top-k of the dynamic estimates.
-func (s *session) dynamicRankAccepted(r2 *rec.Recommender, est ppr.Vector, k int) bool {
+// estimateRankAccepted reports whether any accepted item sits within
+// the top-k of the estimates.
+func (s *session) estimateRankAccepted(r2 *rec.Recommender, est ppr.Vector, k int) bool {
 	targets := []hin.NodeID{s.q.WNI}
 	for a := range s.accept {
 		if a != s.q.WNI {

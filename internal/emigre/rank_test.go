@@ -55,20 +55,26 @@ func TestTargetRankRelaxedSuccess(t *testing.T) {
 	}
 }
 
-func TestTargetRankDynamicCheckAgrees(t *testing.T) {
+// TestTargetRankDeltaAgrees compares the default screened path with the
+// cold reference at TargetRank 2, the only test of the screen's top-k
+// verdict (estimateRankAccepted).
+func TestTargetRankDeltaAgrees(t *testing.T) {
 	q := func(f *fixture) Query { return Query{User: f.ids["u"], WNI: f.ids["f3"]} }
-	fs := newFixture(t, Options{TargetRank: 2})
-	fd := newFixture(t, Options{TargetRank: 2, DynamicCheck: true})
-	es, errS := fs.ex.ExplainWith(q(fs), Remove, Exhaustive)
+	fc := newFixture(t, coldOptions(Options{TargetRank: 2}))
+	fd := newFixture(t, Options{TargetRank: 2})
+	ec, errC := fc.ex.ExplainWith(q(fc), Remove, Exhaustive)
 	ed, errD := fd.ex.ExplainWith(q(fd), Remove, Exhaustive)
-	if (errS == nil) != (errD == nil) {
-		t.Fatalf("static err %v vs dynamic err %v", errS, errD)
+	if (errC == nil) != (errD == nil) {
+		t.Fatalf("cold err %v vs delta err %v", errC, errD)
 	}
-	if errS != nil {
+	if errC != nil {
 		t.Skip("no explanation at rank 2 in this fixture")
 	}
-	if es.Size() != ed.Size() {
-		t.Fatalf("sizes differ: %d vs %d", es.Size(), ed.Size())
+	if ec.Size() != ed.Size() {
+		t.Fatalf("sizes differ: %d vs %d", ec.Size(), ed.Size())
+	}
+	if ed.Stats.DeltaScreened == 0 {
+		t.Fatalf("stats = %+v: delta screen never engaged", ed.Stats)
 	}
 }
 

@@ -47,17 +47,25 @@ func TestEnginesHonorCanceledContext(t *testing.T) {
 			_, err := NewMonteCarlo(p).FromSourceContext(ctx, g, s)
 			return err
 		}},
-		{"NewDynamicForwardPush", func(ctx context.Context) error {
-			_, err := NewDynamicForwardPushContext(ctx, p, g, s)
-			return err
-		}},
-		{"DynamicForwardPush.Update", func(ctx context.Context) error {
-			dyn, err := NewDynamicForwardPush(p, g, s)
+		{"ForwardPush.UpdateForEdit", func(ctx context.Context) error {
+			e := NewForwardPush(p)
+			base, err := e.Run(g, s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			o := applyUserEdits(t, g, s, rng)
-			return dyn.UpdateContext(ctx, o, s)
+			_, err = e.UpdateForEdit(ctx, g, o, base, []hin.NodeID{s}, nil)
+			return err
+		}},
+		{"ReversePush.UpdateForEdit", func(ctx context.Context) error {
+			e := NewReversePush(p)
+			base, err := e.Run(g, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := applyUserEdits(t, g, s, rng)
+			_, err = e.UpdateForEdit(ctx, g, o, base, []hin.NodeID{s}, nil)
+			return err
 		}},
 	}
 	for _, tc := range cases {

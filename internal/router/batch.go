@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
@@ -14,6 +13,12 @@ import (
 // should be split by the caller (the bound keeps one request from
 // monopolizing the admission gate).
 const maxBatchRequests = 256
+
+// maxBatchBodyBytes bounds one /explain/batch body in bytes, enforced
+// while decoding so the request cap above is never checked against a
+// body already buffered whole. A full batch of ordinary questions is a
+// few tens of KB; the bound leaves room for group (items) questions.
+const maxBatchBodyBytes = 4 << 20
 
 // BatchRequest is the /explain/batch body: independent Why-Not
 // questions, answered in order.
@@ -44,8 +49,8 @@ type BatchResponse struct {
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.m.requests[opBatch].Inc()
 	var body BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if status, msg := decodeBody(w, r, maxBatchBodyBytes, &body); status != 0 {
+		writeError(w, status, msg)
 		return
 	}
 	if len(body.Requests) == 0 {

@@ -351,9 +351,9 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, op, user string,
 
 func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req client.ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if status, msg := decodeBody(w, r, maxBodyBytes, &req); status != 0 {
 		rt.m.requests[opExplain].Inc()
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		writeError(w, status, msg)
 		return
 	}
 	rt.route(w, r, opExplain, req.User,
@@ -388,9 +388,9 @@ func (rt *Router) handleRecommend(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	var req client.DiagnoseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if status, msg := decodeBody(w, r, maxBodyBytes, &req); status != 0 {
 		rt.m.requests[opDiagnose].Inc()
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		writeError(w, status, msg)
 		return
 	}
 	rt.route(w, r, opDiagnose, req.User,
@@ -430,6 +430,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	// The status line is already on the wire: an encode failure here can
 	// only truncate the body, which the client's decoder reports.
 	json.NewEncoder(w).Encode(v)
+}
+
+// maxBodyBytes bounds a decoded /explain or /diagnose body, matching
+// the backends' own bound in internal/server.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// On failure it returns the status to answer with — 413 for an
+// oversized body, 400 for a malformed one — and the error message;
+// status 0 means success.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, string) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, "request body exceeds " + strconv.FormatInt(tooBig.Limit, 10) + " bytes"
+	case err != nil:
+		return http.StatusBadRequest, "decoding request: " + err.Error()
+	}
+	return 0, ""
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

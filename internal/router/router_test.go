@@ -499,3 +499,34 @@ func TestResponseFramingMatchesServer(t *testing.T) {
 		t.Fatalf("body missing Encoder framing:\n%s", dump)
 	}
 }
+
+// TestOversizedBodies413: every JSON endpoint bounds its body while
+// decoding and answers 413 past the bound without calling a backend;
+// malformed bodies under the bound stay 400.
+func TestOversizedBodies413(t *testing.T) {
+	b := newFakeBackend(t, "b1")
+	rt := newTestRouter(t, nil, b)
+	pad := strings.Repeat("x", maxBatchBodyBytes)
+	single := `{"user":"` + pad[:maxBodyBytes] + `","wni":"X"}`
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/explain", single, http.StatusRequestEntityTooLarge},
+		{"/diagnose", single, http.StatusRequestEntityTooLarge},
+		{"/explain/batch", `{"requests":[{"user":"` + pad + `","wni":"X"}]}`, http.StatusRequestEntityTooLarge},
+		{"/explain", `{"user":`, http.StatusBadRequest},
+		{"/diagnose", `{"user":`, http.StatusBadRequest},
+		{"/explain/batch", `{"requests":`, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("%s with a %d-byte body: status %d, want %d: %.200s",
+				tc.path, len(tc.body), rec.Code, tc.want, rec.Body.String())
+		}
+	}
+	if n := b.served.Load(); n != 0 {
+		t.Fatalf("backend served %d requests; rejected bodies must not reach it", n)
+	}
+}

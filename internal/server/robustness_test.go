@@ -9,6 +9,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -306,4 +307,31 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// TestOversizedBodies413: /explain and /diagnose stop reading a body at
+// maxBodyBytes and answer 413; malformed bodies under the bound stay 400.
+func TestOversizedBodies413(t *testing.T) {
+	srv, _ := newTestServer(t)
+	huge := `{"user":"` + strings.Repeat("x", maxBodyBytes) + `","wni":"The Hobbit"}`
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/explain", huge, http.StatusRequestEntityTooLarge},
+		{"/diagnose", huge, http.StatusRequestEntityTooLarge},
+		{"/explain", `{"user":`, http.StatusBadRequest},
+		{"/diagnose", `{"user":`, http.StatusBadRequest},
+	} {
+		req, err := http.NewRequest("POST", tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%s with a %d-byte body: status %d, want %d: %.200s",
+				tc.path, len(tc.body), rec.Code, tc.want, rec.Body.String())
+		}
+	}
 }

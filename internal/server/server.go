@@ -59,6 +59,25 @@ const (
 	DefaultQueueDepth = 8
 )
 
+// maxBodyBytes bounds a decoded /explain or /diagnose request body;
+// larger bodies are answered 413 before they are buffered whole.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// It returns the status to answer with when decoding fails: 413 for an
+// oversized body, 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
+	case err != nil:
+		return http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
+	}
+	return 0, nil
+}
+
 // statusClientClosedRequest is the nginx convention for "the client
 // went away before the response was ready"; there is no standard code.
 const statusClientClosedRequest = 499
@@ -590,8 +609,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req explainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if status, err := decodeBody(w, r, &req); err != nil {
+		s.writeErr(w, status, err)
 		return
 	}
 	user, err := cli.ResolveNode(s.g, req.User)
@@ -724,8 +743,8 @@ type diagnoseRequest struct {
 
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	var req diagnoseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if status, err := decodeBody(w, r, &req); err != nil {
+		s.writeErr(w, status, err)
 		return
 	}
 	user, err := cli.ResolveNode(s.g, req.User)
