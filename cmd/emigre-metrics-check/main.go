@@ -47,14 +47,11 @@ func main() {
 	if len(raw) == 0 {
 		log.Fatal("empty exposition")
 	}
-	if err := obs.ValidateExposition(raw); err != nil {
-		log.Fatal(err)
-	}
-	// The structural parse complements the validator: it groups samples
-	// into families (histogram series under their base name included),
-	// so required-family checks don't re-scan raw text.
 	exp, err := obs.ParseExposition(raw)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := exp.Validate(); err != nil {
 		log.Fatal(err)
 	}
 	families := make(map[string]bool)

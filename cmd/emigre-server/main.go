@@ -7,7 +7,7 @@
 //
 //	GET  /healthz
 //	GET  /readyz
-//	GET  /stats
+//	GET  /stats     graph shape: node/edge counts and per-type degree rows
 //	GET  /recommend?user=Paul&n=10
 //	POST /explain   {"user":"Paul","wni":"Harry Potter","mode":"remove","method":"powerset"}
 //	POST /explain   {"user":"Paul","items":["A","B"],"mode":"add"}        (group)

@@ -56,8 +56,9 @@ func (f *File) Result(name string) *Result {
 }
 
 // legacyResult mirrors one entry of the committed BENCH_*.json shape.
-// Unknown numeric fields become metrics keyed by their JSON name, so
-// per-file extras (e.g. a speedup ratio) survive normalization.
+// Only ns/op, B/op and allocs/op are read: any other field of a legacy
+// result (e.g. a speedup ratio or raw_ns_per_op) is dropped and never
+// reaches Diff.
 type legacyResult struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`

@@ -27,9 +27,9 @@
 // The package deliberately implements the minimal contract the
 // Prometheus text format requires — HELP/TYPE headers, label escaping,
 // cumulative histogram buckets with a +Inf bound, _sum and _count
-// series — and ValidateExposition checks exactly that contract, so CI
-// can smoke-test a live /metrics endpoint without third-party
-// dependencies.
+// series — and ParseExposition plus Exposition.Validate check exactly
+// that contract, so CI can smoke-test a live /metrics endpoint without
+// third-party dependencies.
 package obs
 
 import (

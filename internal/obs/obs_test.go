@@ -163,7 +163,7 @@ func TestHistogram(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if err := ValidateExposition([]byte(out)); err != nil {
+	if err := validate([]byte(out)); err != nil {
 		t.Fatalf("own histogram output must validate: %v", err)
 	}
 }
@@ -203,7 +203,7 @@ func TestLabelEscaping(t *testing.T) {
 	if !strings.Contains(out, `test_total{k="quote\" slash\\ nl\n"} 1`+"\n") {
 		t.Errorf("label value escaping wrong:\n%s", out)
 	}
-	if err := ValidateExposition([]byte(out)); err != nil {
+	if err := validate([]byte(out)); err != nil {
 		t.Fatalf("escaped output must validate: %v", err)
 	}
 }
@@ -282,7 +282,7 @@ func TestHandlerDedupesRegistries(t *testing.T) {
 	if strings.Count(body, "# TYPE test_total counter") != 1 {
 		t.Fatalf("duplicate registry must render once:\n%s", body)
 	}
-	if err := ValidateExposition(rec.Body.Bytes()); err != nil {
+	if err := validate(rec.Body.Bytes()); err != nil {
 		t.Fatalf("handler output must validate: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -19,19 +18,9 @@ type ParsedSample struct {
 	Timestamp string
 }
 
-// LabelValue returns the value of the named label, or "" when absent.
-func (s *ParsedSample) LabelValue(name string) string {
-	for _, l := range s.Labels {
-		if l.Name == name {
-			return l.Value
-		}
-	}
-	return ""
-}
-
 // ParsedFamily groups the samples of one metric family (histogram
 // derived series attach to their base family, matching how the
-// validator and the renderer treat them).
+// renderer emits them).
 type ParsedFamily struct {
 	// Name is the family (base) name.
 	Name string
@@ -126,21 +115,20 @@ func CounterDeltas(before, after *Exposition) map[string]float64 {
 }
 
 // ParseExposition parses a Prometheus text exposition (format version
-// 0.0.4) into its families and samples. It accepts exactly the syntax
-// ValidateExposition accepts at the line level — metric/label name
-// charsets, label escaping, parseable values, optional timestamps,
-// duplicate-TYPE rejection — but does not enforce the cross-line
-// histogram contract (that is the validator's job; run both when
-// checking a scrape). Plain comments and blank lines are dropped.
+// 0.0.4) into its families and samples, enforcing the line syntax:
+// comment syntax, metric/label name charsets, label escaping, parseable
+// values, optional timestamps, and at most one TYPE per family declared
+// before its first sample. The cross-series contract (duplicates,
+// counter signs, histogram shape) is Validate's job. Plain comments and
+// blank lines are dropped. Syntax errors carry an "obs: line N:" prefix.
 func ParseExposition(b []byte) (*Exposition, error) {
 	e := &Exposition{byName: map[string]*ParsedFamily{}}
-	types := map[string]string{}
 	text := string(b)
 	if text != "" && !strings.HasSuffix(text, "\n") {
 		return nil, fmt.Errorf("obs: exposition must end with a newline")
 	}
 	for i, line := range strings.Split(text, "\n") {
-		if err := e.parseLine(line, types); err != nil {
+		if err := e.parseLine(line); err != nil {
 			return nil, fmt.Errorf("obs: line %d: %w", i+1, err)
 		}
 	}
@@ -158,17 +146,17 @@ func (e *Exposition) family(name string) *ParsedFamily {
 	return f
 }
 
-func (e *Exposition) parseLine(line string, types map[string]string) error {
+func (e *Exposition) parseLine(line string) error {
 	if line == "" {
 		return nil
 	}
 	if strings.HasPrefix(line, "#") {
-		return e.parseComment(line, types)
+		return e.parseComment(line)
 	}
-	return e.parseSample(line, types)
+	return e.parseSample(line)
 }
 
-func (e *Exposition) parseComment(line string, types map[string]string) error {
+func (e *Exposition) parseComment(line string) error {
 	fields := strings.SplitN(line, " ", 4)
 	if len(fields) < 2 || fields[0] != "#" {
 		return nil // plain comment
@@ -191,11 +179,10 @@ func (e *Exposition) parseComment(line string, types map[string]string) error {
 		if f.HasType {
 			return fmt.Errorf("duplicate TYPE for %s", name)
 		}
-		if len(f.Samples) > 0 {
+		if len(f.Samples) > 0 || typ == "histogram" && e.derivedSampled(name) {
 			return fmt.Errorf("TYPE for %s after its first sample", name)
 		}
 		f.Type, f.HasType = typ, true
-		types[name] = typ
 	case "HELP":
 		if len(fields) < 3 {
 			return fmt.Errorf("HELP needs a metric name")
@@ -214,12 +201,45 @@ func (e *Exposition) parseComment(line string, types map[string]string) error {
 	return nil
 }
 
-func (e *Exposition) parseSample(line string, types map[string]string) error {
+var histogramSuffixes = [...]string{"_bucket", "_sum", "_count"}
+
+// derivedSampled reports whether a sample named like one of the
+// histogram series derived from name was already filed under its own
+// name. Declaring name a histogram after that would file the same line
+// under name on a re-parse of the emitted text, so it counts as a TYPE
+// after the family's first sample.
+func (e *Exposition) derivedSampled(name string) bool {
+	for _, sfx := range histogramSuffixes {
+		if f := e.byName[name+sfx]; f != nil {
+			for i := range f.Samples {
+				if f.Samples[i].Name == f.Name {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// histogramFamily maps a sample name to its family: when a declared
+// histogram family matches the name minus a _bucket/_sum/_count
+// suffix, the sample belongs to that family.
+func (e *Exposition) histogramFamily(name string) string {
+	for _, sfx := range histogramSuffixes {
+		base, ok := strings.CutSuffix(name, sfx)
+		if f := e.byName[base]; ok && f != nil && f.Type == "histogram" {
+			return base
+		}
+	}
+	return name
+}
+
+func (e *Exposition) parseSample(line string) error {
 	name, rest, err := splitName(line)
 	if err != nil {
 		return err
 	}
-	rawLabels, rest, err := parseOrderedLabels(rest)
+	labels, rest, err := parseLabels(rest)
 	if err != nil {
 		return fmt.Errorf("metric %s: %w", name, err)
 	}
@@ -231,53 +251,107 @@ func (e *Exposition) parseSample(line string, types map[string]string) error {
 	if err != nil {
 		return fmt.Errorf("metric %s: bad value %q", name, valueText)
 	}
-	familyName, _ := histogramFamily(types, name)
-	f := e.family(familyName)
+	f := e.family(e.histogramFamily(name))
 	f.Samples = append(f.Samples, ParsedSample{
 		Name:      name,
-		Labels:    rawLabels,
+		Labels:    labels,
 		Value:     value,
 		Timestamp: strings.TrimSpace(timestamp),
 	})
 	return nil
 }
 
-// parseOrderedLabels parses an optional {name="value",...} block like
-// parseLabels but preserves label order and rejects duplicates.
-func parseOrderedLabels(s string) ([]Label, string, error) {
-	asMap, rest, err := parseLabels(s)
-	if err != nil {
-		return nil, "", err
+// splitName cuts the metric name off the front of a sample line,
+// returning the remainder (label block and/or value).
+func splitName(line string) (name, rest string, err error) {
+	i := 0
+	for i < len(line) && line[i] != '{' && line[i] != ' ' && line[i] != '\t' {
+		i++
 	}
-	if len(asMap) == 0 {
-		return nil, rest, nil
+	name = line[:i]
+	if !validMetricName(name) {
+		return "", "", fmt.Errorf("invalid metric name %q", name)
 	}
-	// Re-scan the block in order; parseLabels already guaranteed it is
-	// well-formed and duplicate-free, so a light second pass suffices.
-	ordered := make([]Label, 0, len(asMap))
-	block := s[:len(s)-len(rest)]
-	i := 1 // past '{'
-	for len(ordered) < len(asMap) {
-		for i < len(block) && (block[i] == ' ' || block[i] == ',') {
+	return name, line[i:], nil
+}
+
+// parseLabels parses an optional {name="value",...} block in input
+// order, handling escaped quotes, backslashes and newlines in values
+// and rejecting a repeated label name.
+func parseLabels(s string) ([]Label, string, error) {
+	if !strings.HasPrefix(s, "{") {
+		return nil, s, nil
+	}
+	var labels []Label
+	i := 1
+	for {
+		for i < len(s) && s[i] == ' ' {
 			i++
+		}
+		if i < len(s) && s[i] == '}' {
+			return labels, s[i+1:], nil
 		}
 		start := i
-		for i < len(block) && block[i] != '=' {
+		for i < len(s) && s[i] != '=' {
 			i++
 		}
-		lname := strings.TrimSpace(block[start:i])
-		ordered = append(ordered, Label{Name: lname, Value: asMap[lname]})
-		// Skip ="value" (escapes included).
-		i += 2 // '=' and opening quote
-		for i < len(block) && block[i] != '"' {
-			if block[i] == '\\' {
-				i++
+		if i == len(s) {
+			return nil, "", fmt.Errorf("unterminated label block")
+		}
+		lname := strings.TrimSpace(s[start:i])
+		if !validLabelName(lname) {
+			return nil, "", fmt.Errorf("invalid label name %q", lname)
+		}
+		for _, l := range labels {
+			if l.Name == lname {
+				return nil, "", fmt.Errorf("duplicate label %q", lname)
 			}
+		}
+		i++ // consume '='
+		if i >= len(s) || s[i] != '"' {
+			return nil, "", fmt.Errorf("label %s: value must be quoted", lname)
+		}
+		i++
+		var val strings.Builder
+		for {
+			if i >= len(s) {
+				return nil, "", fmt.Errorf("label %s: unterminated value", lname)
+			}
+			c := s[i]
+			if c == '"' {
+				i++
+				break
+			}
+			if c == '\\' {
+				if i+1 >= len(s) {
+					return nil, "", fmt.Errorf("label %s: dangling escape", lname)
+				}
+				switch s[i+1] {
+				case '\\':
+					val.WriteByte('\\')
+				case '"':
+					val.WriteByte('"')
+				case 'n':
+					val.WriteByte('\n')
+				default:
+					return nil, "", fmt.Errorf("label %s: bad escape \\%c", lname, s[i+1])
+				}
+				i += 2
+				continue
+			}
+			val.WriteByte(c)
 			i++
 		}
-		i++ // closing quote
+		labels = append(labels, Label{Name: lname, Value: val.String()})
+		if i < len(s) && s[i] == ',' {
+			i++
+			continue
+		}
+		if i < len(s) && s[i] == '}' {
+			return labels, s[i+1:], nil
+		}
+		return nil, "", fmt.Errorf("label %s: expected ',' or '}'", lname)
 	}
-	return ordered, rest, nil
 }
 
 // unescapeHelp reverses escapeHelp.
@@ -352,17 +426,4 @@ func (e *Exposition) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// SortedCounterFamilies returns the names of every counter family in
-// lexical order — a stable iteration aid for report rendering.
-func (e *Exposition) SortedCounterFamilies() []string {
-	var names []string
-	for _, f := range e.Families {
-		if f.Type == "counter" {
-			names = append(names, f.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

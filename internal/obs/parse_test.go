@@ -27,7 +27,7 @@ func TestParseRoundTripsRegistryOutput(t *testing.T) {
 	var rendered strings.Builder
 	corpusRegistry().WritePrometheus(&rendered)
 	in := rendered.String()
-	if err := ValidateExposition([]byte(in)); err != nil {
+	if err := validate([]byte(in)); err != nil {
 		t.Fatalf("corpus invalid: %v", err)
 	}
 	e, err := ParseExposition([]byte(in))
@@ -43,8 +43,8 @@ func TestParseRoundTripsRegistryOutput(t *testing.T) {
 	}
 }
 
-// TestParseFixedPointOnForeignIdioms feeds the parser the same foreign
-// expositions the validator accepts (timestamps, plain comments, blank
+// TestParseFixedPointOnForeignIdioms feeds the parser foreign
+// expositions Validate accepts (timestamps, plain comments, blank
 // lines, special float spellings) and checks one parse→emit cycle
 // reaches a fixed point that still validates.
 func TestParseFixedPointOnForeignIdioms(t *testing.T) {
@@ -96,6 +96,10 @@ func TestParseRejects(t *testing.T) {
 		"# TYPE a counter\n# TYPE a counter\na 1\n",
 		"# TYPE\n",
 		"a 1\n# TYPE a counter\n",
+		// A derived series filed under its own name before the histogram
+		// was declared: a re-parse of the emitted text would file it under
+		// the histogram instead.
+		"# HELP h x\nh_count 1\n# TYPE h histogram\n",
 	}
 	for _, in := range bad {
 		if _, err := ParseExposition([]byte(in)); err == nil {

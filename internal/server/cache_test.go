@@ -2,56 +2,43 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"log"
 	"net/http"
 	"strings"
 	"testing"
 
-	emigre "github.com/why-not-xai/emigre"
+	"github.com/why-not-xai/emigre/internal/obs"
 )
 
-type cacheStatsBody struct {
-	Cache *emigre.PPRCacheStats `json:"cache"`
-}
-
-func getCacheStats(t *testing.T, h http.Handler) *emigre.PPRCacheStats {
+// newCacheTestServer builds a books server on a private registry, so
+// the pprcache families GET /metrics serves belong to this server's
+// cache alone.
+func newCacheTestServer(t *testing.T) http.Handler {
 	t.Helper()
-	rec := do(t, h, "GET", "/stats", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /stats = %d: %s", rec.Code, rec.Body.String())
-	}
-	var body cacheStatsBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	return body.Cache
+	srv, _ := newTestServerCfg(t, func(c *Config) { c.Metrics = obs.NewRegistry() })
+	return srv.Handler()
 }
 
 // TestRepeatedRecommendHitsCache is the serving acceptance check:
 // the second identical /recommend must be answered from the vector
-// cache, visible as hits in GET /stats.
+// cache, visible as hits in GET /metrics.
 func TestRepeatedRecommendHitsCache(t *testing.T) {
-	srv, _ := newTestServer(t)
-	h := srv.Handler()
+	h := newCacheTestServer(t)
 
 	for i := 0; i < 3; i++ {
 		if rec := do(t, h, "GET", "/recommend?user=Paul&n=3", nil); rec.Code != http.StatusOK {
 			t.Fatalf("request %d: %d: %s", i, rec.Code, rec.Body.String())
 		}
 	}
-	s := getCacheStats(t, h)
-	if s == nil {
-		t.Fatal("GET /stats has no cache section with caching enabled")
+	e := scrape(t, h)
+	if misses := total(t, e, "emigre_pprcache_misses_total"); misses < 1 {
+		t.Fatalf("no miss recorded on the cold request: misses = %v", misses)
 	}
-	if s.Misses < 1 {
-		t.Fatalf("no miss recorded on the cold request: %+v", s)
+	if hits := total(t, e, "emigre_pprcache_hits_total"); hits < 2 {
+		t.Fatalf("repeated requests were not served from the cache: hits = %v", hits)
 	}
-	if s.Hits < 2 {
-		t.Fatalf("repeated requests were not served from the cache: %+v", s)
-	}
-	if s.Entries < 1 {
-		t.Fatalf("no resident entries after traffic: %+v", s)
+	if entries := total(t, e, "emigre_pprcache_resident_entries"); entries < 1 {
+		t.Fatalf("no resident entries after traffic: entries = %v", entries)
 	}
 }
 
@@ -59,34 +46,43 @@ func TestRepeatedRecommendHitsCache(t *testing.T) {
 // the second identical /explain reuses the first one's baseline
 // vectors and reverse columns.
 func TestExplainPopulatesAndReusesCache(t *testing.T) {
-	srv, _ := newTestServer(t)
-	h := srv.Handler()
+	h := newCacheTestServer(t)
 	body := map[string]any{"user": "Paul", "wni": "Harry Potter", "mode": "remove", "method": "powerset"}
 
 	if rec := do(t, h, "POST", "/explain", body); rec.Code != http.StatusOK {
 		t.Fatalf("first explain: %d: %s", rec.Code, rec.Body.String())
 	}
-	first := getCacheStats(t, h)
+	first := total(t, scrape(t, h), "emigre_pprcache_hits_total")
 	if rec := do(t, h, "POST", "/explain", body); rec.Code != http.StatusOK {
 		t.Fatalf("second explain: %d: %s", rec.Code, rec.Body.String())
 	}
-	second := getCacheStats(t, h)
-	if second.Hits <= first.Hits {
-		t.Fatalf("second explanation hit nothing: %+v -> %+v", first, second)
+	second := total(t, scrape(t, h), "emigre_pprcache_hits_total")
+	if second <= first {
+		t.Fatalf("second explanation hit nothing: hits %v -> %v", first, second)
 	}
 }
 
 // TestCacheDisabledByConfig pins the negative convention: a negative
-// bound disables caching, /stats drops the section, and requests still
-// serve correctly.
+// bound disables caching, the server registers no pprcache family, and
+// requests still serve correctly. It reads the server's own registry:
+// GET /metrics also renders obs.Default(), where another server may
+// have registered a cache.
 func TestCacheDisabledByConfig(t *testing.T) {
-	srv, _ := newTestServerCfg(t, func(c *Config) { c.CacheEntries = -1 })
+	reg := obs.NewRegistry()
+	srv, _ := newTestServerCfg(t, func(c *Config) {
+		c.CacheEntries = -1
+		c.Metrics = reg
+	})
 	h := srv.Handler()
 	if rec := do(t, h, "GET", "/recommend?user=Paul&n=3", nil); rec.Code != http.StatusOK {
 		t.Fatalf("recommend without cache: %d: %s", rec.Code, rec.Body.String())
 	}
-	if s := getCacheStats(t, h); s != nil {
-		t.Fatalf("cache section present with caching disabled: %+v", s)
+	var own bytes.Buffer
+	reg.WritePrometheus(&own)
+	for _, name := range parseValid(t, own.Bytes()).FamilyNames() {
+		if strings.HasPrefix(name, "emigre_pprcache_") {
+			t.Errorf("cache family %s registered with caching disabled", name)
+		}
 	}
 }
 
@@ -116,18 +112,17 @@ func TestRequestLogCarriesCacheTally(t *testing.T) {
 // cache spans both endpoints, so a /recommend warms the forward vector
 // a subsequent /explain needs for its baseline.
 func TestCacheSharedBetweenRecommendAndExplain(t *testing.T) {
-	srv, _ := newTestServer(t)
-	h := srv.Handler()
+	h := newCacheTestServer(t)
 	if rec := do(t, h, "GET", "/recommend?user=Paul&n=3", nil); rec.Code != http.StatusOK {
 		t.Fatal(rec.Body.String())
 	}
-	before := getCacheStats(t, h)
+	before := total(t, scrape(t, h), "emigre_pprcache_hits_total")
 	body := map[string]any{"user": "Paul", "wni": "Harry Potter", "mode": "remove", "method": "powerset"}
 	if rec := do(t, h, "POST", "/explain", body); rec.Code != http.StatusOK {
 		t.Fatalf("explain: %d: %s", rec.Code, rec.Body.String())
 	}
-	after := getCacheStats(t, h)
-	if after.Hits <= before.Hits {
-		t.Fatalf("explain did not reuse recommend's vectors: %+v -> %+v", before, after)
+	after := total(t, scrape(t, h), "emigre_pprcache_hits_total")
+	if after <= before {
+		t.Fatalf("explain did not reuse recommend's vectors: hits %v -> %v", before, after)
 	}
 }

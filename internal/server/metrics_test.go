@@ -11,6 +11,42 @@ import (
 	"github.com/why-not-xai/emigre/internal/obs"
 )
 
+// parseValid parses an exposition and checks its contract, failing the
+// test on either error.
+func parseValid(t *testing.T, b []byte) *obs.Exposition {
+	t.Helper()
+	e, err := obs.ParseExposition(b)
+	if err == nil {
+		err = e.Validate()
+	}
+	if err != nil {
+		t.Fatalf("exposition does not validate: %v\n%s", err, b)
+	}
+	return e
+}
+
+// scrape serves GET /metrics from h and returns the validated
+// exposition.
+func scrape(t *testing.T, h http.Handler) *obs.Exposition {
+	t.Helper()
+	rec := do(t, h, "GET", "/metrics", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics status = %d", rec.Code)
+	}
+	return parseValid(t, rec.Body.Bytes())
+}
+
+// total is the summed plain samples of family, failing the test when
+// the exposition lacks the family.
+func total(t *testing.T, e *obs.Exposition, family string) float64 {
+	t.Helper()
+	f := e.Family(family)
+	if f == nil {
+		t.Fatalf("exposition has no %s family", family)
+	}
+	return f.Total()
+}
+
 // TestMetricsEndpointCoversAllLayers drives real traffic through the
 // server and asserts GET /metrics serves a valid Prometheus exposition
 // covering every instrumented layer: HTTP, PPR engines, the vector
@@ -41,9 +77,7 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != obs.ContentType {
 		t.Fatalf("Content-Type = %q, want %q", ct, obs.ContentType)
 	}
-	if err := obs.ValidateExposition(rec.Body.Bytes()); err != nil {
-		t.Fatalf("exposition does not validate: %v\n%s", err, rec.Body.String())
-	}
+	e := parseValid(t, rec.Body.Bytes())
 	out := rec.Body.String()
 
 	// One family per layer, plus the concrete series traffic must have
@@ -80,33 +114,21 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	}
 
 	// The warm /recommend repeat must have registered as a cache hit.
-	if !strings.Contains(out, "emigre_pprcache_hits_total") {
-		t.Fatal("cache hit counter absent")
-	}
-	var hits string
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "emigre_pprcache_hits_total ") {
-			hits = strings.TrimPrefix(line, "emigre_pprcache_hits_total ")
-			break
-		}
-	}
-	if hits == "0" || hits == "" {
-		t.Fatalf("cache hits = %q, want > 0 after a warm repeat", hits)
+	if hits := total(t, e, "emigre_pprcache_hits_total"); hits <= 0 {
+		t.Fatalf("cache hits = %v, want > 0 after a warm repeat", hits)
 	}
 }
 
 // TestMetricsDefaultRegistry pins that a nil Config.Metrics falls back
 // to the process-global registry and /metrics does not render it twice
-// (duplicate TYPE lines are a format violation the validator rejects).
+// (duplicate TYPE lines are a format violation the parser rejects).
 func TestMetricsDefaultRegistry(t *testing.T) {
 	srv, _ := newTestServerCfg(t, func(c *Config) { c.Logger = log.New(io.Discard, "", 0) })
 	rec := do(t, srv.Handler(), "GET", "/metrics", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/metrics status = %d", rec.Code)
 	}
-	if err := obs.ValidateExposition(rec.Body.Bytes()); err != nil {
-		t.Fatalf("exposition with defaulted registry does not validate: %v", err)
-	}
+	parseValid(t, rec.Body.Bytes())
 	if n := strings.Count(rec.Body.String(), "# TYPE emigre_http_requests_total counter"); n != 1 {
 		t.Fatalf("emigre_http_requests_total TYPE rendered %d times, want once", n)
 	}

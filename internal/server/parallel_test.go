@@ -8,15 +8,18 @@ import (
 	"strings"
 	"testing"
 
-	emigre "github.com/why-not-xai/emigre"
+	"github.com/why-not-xai/emigre/internal/obs"
 )
 
 // TestExplainPoolStatsSurfaced checks the observability contract of the
-// parallel CHECK pipeline: with -explain-workers > 1, GET /stats grows
-// an explain_pool block whose committed-check gauge matches the
-// explanation's own check count.
+// parallel CHECK pipeline: with -explain-workers > 1, GET /metrics
+// reports the pipeline families, and the committed-check counter
+// matches the explanation's own check count.
 func TestExplainPoolStatsSurfaced(t *testing.T) {
-	srv, _ := newTestServerCfg(t, func(c *Config) { c.ExplainWorkers = 4 })
+	srv, _ := newTestServerCfg(t, func(c *Config) {
+		c.ExplainWorkers = 4
+		c.Metrics = obs.NewRegistry()
+	})
 	h := srv.Handler()
 
 	body := map[string]any{"user": "Paul", "wni": "Harry Potter", "mode": "remove", "method": "powerset"}
@@ -31,31 +34,19 @@ func TestExplainPoolStatsSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats := do(t, h, "GET", "/stats", nil)
-	if stats.Code != http.StatusOK {
-		t.Fatalf("stats: %d: %s", stats.Code, stats.Body.String())
+	e := scrape(t, h)
+	if workers := total(t, e, "emigre_pipeline_workers"); workers != 4 {
+		t.Fatalf("emigre_pipeline_workers = %v, want 4", workers)
 	}
-	var sb struct {
-		Pool *emigre.PipelineStats `json:"explain_pool"`
+	if runs := total(t, e, "emigre_pipeline_parallel_runs_total"); runs < 1 {
+		t.Fatalf("emigre_pipeline_parallel_runs_total = %v, want >= 1", runs)
 	}
-	if err := json.Unmarshal(stats.Body.Bytes(), &sb); err != nil {
-		t.Fatal(err)
+	if committed := total(t, e, "emigre_pipeline_checks_committed_total"); committed != float64(expl.Checks) {
+		t.Fatalf("emigre_pipeline_checks_committed_total = %v, want the response's checks = %d",
+			committed, expl.Checks)
 	}
-	if sb.Pool == nil {
-		t.Fatalf("GET /stats has no explain_pool section: %s", stats.Body.String())
-	}
-	if sb.Pool.Workers != 4 {
-		t.Fatalf("explain_pool.workers = %d, want 4", sb.Pool.Workers)
-	}
-	if sb.Pool.ParallelRuns < 1 {
-		t.Fatalf("explain_pool.parallel_runs = %d, want >= 1", sb.Pool.ParallelRuns)
-	}
-	if sb.Pool.ChecksCommitted != int64(expl.Checks) {
-		t.Fatalf("explain_pool.checks_committed = %d, want the response's checks = %d",
-			sb.Pool.ChecksCommitted, expl.Checks)
-	}
-	if sb.Pool.InflightChecks != 0 {
-		t.Fatalf("explain_pool.inflight_checks = %d at rest, want 0", sb.Pool.InflightChecks)
+	if inflight := total(t, e, "emigre_pipeline_inflight_checks"); inflight != 0 {
+		t.Fatalf("emigre_pipeline_inflight_checks = %v at rest, want 0", inflight)
 	}
 }
 

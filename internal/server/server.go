@@ -450,16 +450,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			DegreeStd: r.DegreeStd,
 		})
 	}
-	body := map[string]any{
+	s.writeJSON(w, http.StatusOK, map[string]any{
 		"nodes": s.g.NumNodes(),
 		"edges": s.g.NumEdges(),
 		"types": rows,
-	}
-	if s.cache != nil {
-		body["cache"] = s.cache.Stats()
-	}
-	body["explain_pool"] = s.ex.PipelineStats()
-	s.writeJSON(w, http.StatusOK, body)
+	})
 }
 
 type scoredItem struct {

@@ -19,7 +19,7 @@ func newTestServer(t *testing.T) (*Server, *emigre.Books) {
 
 // newTestServerCfg builds a books-graph server, letting the test tweak
 // the Config (timeouts, admission) before construction.
-func newTestServerCfg(t *testing.T, mutate func(*Config)) (*Server, *emigre.Books) {
+func newTestServerCfg(t testing.TB, mutate func(*Config)) (*Server, *emigre.Books) {
 	t.Helper()
 	books, err := emigre.NewBooks()
 	if err != nil {
@@ -101,6 +101,15 @@ func TestStats(t *testing.T) {
 	}
 	if len(body.Types) != 3 {
 		t.Fatalf("type rows = %d, want 3", len(body.Types))
+	}
+	// /stats is the graph shape only; cache and pipeline counters live
+	// in /metrics.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &keys); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 3 || keys["nodes"] == nil || keys["edges"] == nil || keys["types"] == nil {
+		t.Fatalf("stats keys = %s, want exactly nodes, edges and types", rec.Body.String())
 	}
 }
 
